@@ -123,6 +123,47 @@ fn quantize_step(
     out.into_iter().flatten().collect()
 }
 
+/// The transfer walk of one ring collective, shared by the numeric
+/// executor and the payload-free timing of [`crate::twod`]: each schedule
+/// step's concurrent `chunk_elems`-element messages go through
+/// [`Network::parallel_transfers`], then the ring's phase span is emitted.
+/// `on_step` runs before each step's transfers; the numeric executor moves
+/// its chunks there, a timing-only caller passes a no-op.
+pub(crate) fn walk_schedule(
+    net: &mut Network,
+    ring: &Ring,
+    schedule: &Schedule,
+    chunk_elems: usize,
+    precision: Precision,
+    start: SimTime,
+    mut on_step: impl FnMut(&[ChunkMove]) -> Result<(), CollectiveError>,
+) -> Result<SimTime, CollectiveError> {
+    let members = ring.members();
+    let bytes = precision.wire_bytes(chunk_elems);
+    let mut msgs: Vec<(ChipId, ChipId, u64)> = Vec::with_capacity(members.len());
+    let mut t = start;
+    for step in schedule.steps() {
+        on_step(step)?;
+        // All moves in a step are concurrent.
+        msgs.clear();
+        msgs.extend(
+            step.iter()
+                .map(|mv| (members[mv.from], members[mv.to], bytes)),
+        );
+        t = net.parallel_transfers(&msgs, t)?;
+    }
+    emit_ring_span(
+        net,
+        ring,
+        SpanCategory::CollectivePhase,
+        schedule.span_name(),
+        start,
+        t,
+        precision.wire_bytes(schedule.num_members() * chunk_elems),
+    );
+    Ok(t)
+}
+
 fn run_schedule(
     net: &mut Network,
     ring: &Ring,
@@ -151,28 +192,16 @@ fn run_schedule_with(
     start: SimTime,
     parallel: bool,
 ) -> Result<SimTime, CollectiveError> {
-    let members = ring.members();
-    let mut t = start;
-    for step in schedule.steps() {
-        // Numerics first, on a snapshot, so concurrent moves are coherent.
+    // Every chunk has the same length: the payload splits evenly.
+    let chunk_elems = chunks[0][0].len();
+    walk_schedule(net, ring, schedule, chunk_elems, precision, start, |step| {
+        // Numerics on a snapshot, so concurrent moves are coherent.
         let payloads = quantize_step(step, chunks, precision, parallel);
         for (mv, payload) in step.iter().zip(&payloads) {
             apply_move(chunks, mv, payload)?;
         }
-        // Then timing: all moves in a step are concurrent.
-        let msgs: Vec<(ChipId, ChipId, u64)> = step
-            .iter()
-            .map(|mv| {
-                (
-                    members[mv.from],
-                    members[mv.to],
-                    precision.wire_bytes(chunks[mv.from][mv.chunk].len()),
-                )
-            })
-            .collect();
-        t = net.parallel_transfers(&msgs, t)?;
-    }
-    Ok(t)
+        Ok(())
+    })
 }
 
 fn apply_move(
@@ -225,15 +254,6 @@ pub fn reduce_scatter(
     let mut chunks = flatten_chunks(inputs, n)?;
     let schedule = Schedule::reduce_scatter(n, direction);
     let time = run_schedule(net, ring, &schedule, &mut chunks, precision, start)?;
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::CollectivePhase,
-        "reduce-scatter",
-        start,
-        time,
-        precision.wire_bytes(inputs[0].len()),
-    );
     let chunk_of_member: Vec<usize> = (0..n).map(|i| schedule.owned_chunk(i)).collect();
     // Take the owned shard out of each member's chunk row by handle; the
     // remaining (stale) chunks are dropped without copying.
@@ -278,15 +298,6 @@ pub fn all_gather(
         chunks.push(row);
     }
     let time = run_schedule(net, ring, &schedule, &mut chunks, precision, start)?;
-    emit_ring_span(
-        net,
-        ring,
-        SpanCategory::CollectivePhase,
-        "all-gather",
-        start,
-        time,
-        precision.wire_bytes(n * chunk_elems),
-    );
     let outputs = chunks
         .into_iter()
         .map(|row| Tensor::concat(&row, 0).map_err(CollectiveError::from))

@@ -108,12 +108,31 @@ impl Schedule {
         self.direction
     }
 
+    /// Name of the phase span a ring executing this schedule emits.
+    pub(crate) fn span_name(&self) -> &'static str {
+        if self.reduce {
+            "reduce-scatter"
+        } else {
+            "all-gather"
+        }
+    }
+
     /// The chunk member `i` owns after a reduce-scatter (equivalently, must
     /// hold before an all-gather).
     pub fn owned_chunk(&self, member: usize) -> usize {
-        match self.direction {
-            Direction::Forward => (member + 1) % self.n,
-            Direction::Backward => (member + self.n - 1) % self.n,
+        Self::owned_chunk_of(self.n, self.direction, member)
+    }
+
+    /// [`Schedule::owned_chunk`] of an `n`-member schedule travelling
+    /// `direction`, without building the schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0`.
+    pub fn owned_chunk_of(n: usize, direction: Direction, member: usize) -> usize {
+        match direction {
+            Direction::Forward => (member + 1) % n,
+            Direction::Backward => (member + n - 1) % n,
         }
     }
 
@@ -253,6 +272,32 @@ mod tests {
             let mut owned: Vec<usize> = (0..8).map(|i| sched.owned_chunk(i)).collect();
             owned.sort_unstable();
             assert_eq!(owned, (0..8).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn owned_chunk_of_matches_the_built_schedules() {
+        for n in 1..=130 {
+            for dir in [Direction::Forward, Direction::Backward] {
+                let rs = Schedule::reduce_scatter(n, dir);
+                let ag = Schedule::all_gather(n, dir);
+                for i in 0..n {
+                    let owned = Schedule::owned_chunk_of(n, dir, i);
+                    assert_eq!(owned, rs.owned_chunk(i), "n={n} {dir:?} member {i}");
+                    assert_eq!(owned, ag.owned_chunk(i), "n={n} {dir:?} member {i}");
+                }
+                if n < 2 {
+                    continue;
+                }
+                // The last reduce-scatter step completes the owned chunk at
+                // its receiver; the first all-gather step sends it onward.
+                for mv in rs.steps().last().unwrap() {
+                    assert_eq!(mv.chunk, Schedule::owned_chunk_of(n, dir, mv.to));
+                }
+                for mv in &ag.steps()[0] {
+                    assert_eq!(mv.chunk, Schedule::owned_chunk_of(n, dir, mv.from));
+                }
+            }
         }
     }
 

@@ -13,15 +13,16 @@
 //! model-parallelism neighbours (`stride = tile width`): only chips holding
 //! the same weight shard sum their gradients (dotted blue rings in Fig. 4).
 //!
-//! The numeric entry point is [`two_dim_all_reduce`]; the α–β counterpart
-//! is [`two_dim_all_reduce_time`].
+//! The numeric entry point is [`two_dim_all_reduce`];
+//! [`two_dim_all_reduce_timed`] walks the same transfers without payloads,
+//! and the α–β counterpart is [`two_dim_all_reduce_time`].
 
 use serde::{Deserialize, Serialize};
 
 use multipod_simnet::{Network, SimTime};
 use multipod_telemetry::{MetricId, Subsystem};
 use multipod_tensor::Tensor;
-use multipod_topology::ChipId;
+use multipod_topology::{ChipId, Ring};
 use multipod_trace::{SpanCategory, SpanEvent, Track};
 
 use crate::ring::{self, Direction};
@@ -64,6 +65,324 @@ pub struct TwoDimOutput {
     pub breakdown: TwoDimBreakdown,
 }
 
+/// Result of [`two_dim_all_reduce_timed`]: the timing of the 2-D schedule
+/// without its payloads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TwoDimTiming {
+    /// Completion time.
+    pub time: SimTime,
+    /// Per-phase times.
+    pub breakdown: TwoDimBreakdown,
+}
+
+/// The four ring phases of the schedule, in execution order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    YReduceScatter,
+    XReduceScatter,
+    XAllGather,
+    YAllGather,
+}
+
+impl Phase {
+    const ALL: [Phase; 4] = [
+        Phase::YReduceScatter,
+        Phase::XReduceScatter,
+        Phase::XAllGather,
+        Phase::YAllGather,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Phase::YReduceScatter => "y-reduce-scatter",
+            Phase::XReduceScatter => "x-reduce-scatter",
+            Phase::XAllGather => "x-all-gather",
+            Phase::YAllGather => "y-all-gather",
+        }
+    }
+
+    fn along_y(self) -> bool {
+        matches!(self, Phase::YReduceScatter | Phase::YAllGather)
+    }
+
+    fn reduces(self) -> bool {
+        matches!(self, Phase::YReduceScatter | Phase::XReduceScatter)
+    }
+}
+
+/// Executes one ring of one phase, starting at `start`; returns when the
+/// ring finishes. The numeric runner moves tensors, the timed one only
+/// walks the transfers.
+trait PhaseRunner {
+    fn run_ring(
+        &mut self,
+        net: &mut Network,
+        phase: Phase,
+        ring: &Ring,
+        start: SimTime,
+    ) -> Result<SimTime, CollectiveError>;
+
+    /// Runs once between the reduce and broadcast halves.
+    fn between_halves(&mut self) {}
+}
+
+/// The phase and ring iteration of the 2-D schedule: every ring of a phase
+/// starts when the previous phase's slowest ring ends. Emits the phase
+/// spans and telemetry for an `elems`-element payload per chip.
+fn run_phases(
+    net: &mut Network,
+    elems: usize,
+    precision: Precision,
+    model_stride: u32,
+    runner: &mut impl PhaseRunner,
+) -> Result<TwoDimTiming, CollectiveError> {
+    assert!(model_stride > 0, "stride must be positive");
+    let mesh = net.mesh();
+    let y_rings: Vec<Ring> = (0..mesh.x_len()).map(|x| mesh.y_ring(x)).collect();
+    let x_rings: Vec<Ring> = (0..mesh.y_len())
+        .flat_map(|y| (0..model_stride).map(move |offset| (y, offset)))
+        .map(|(y, offset)| mesh.x_line_strided(y, offset, model_stride))
+        .collect();
+    let y_len = mesh.y_len();
+    let mut ends = [SimTime::ZERO; 4];
+    let mut start = SimTime::ZERO;
+    for (end, phase) in ends.iter_mut().zip(Phase::ALL) {
+        if phase == Phase::XAllGather {
+            runner.between_halves();
+        }
+        let rings = if phase.along_y() { &y_rings } else { &x_rings };
+        *end = start;
+        for ring in rings {
+            *end = (*end).max(runner.run_ring(net, phase, ring, start)?);
+        }
+        start = *end;
+    }
+    if net.trace_sink().is_some() || net.telemetry().is_some() {
+        let x_elems = elems.div_ceil(y_len.max(1) as usize);
+        let y_costs = RingCosts::from_ring(net, &y_rings[0], 1)?;
+        let x_costs = RingCosts::from_ring(net, &x_rings[0], model_stride)?;
+        let mut phase_start = SimTime::ZERO;
+        for (&end, phase) in ends.iter().zip(Phase::ALL) {
+            let (costs, phase_elems) = if phase.along_y() {
+                (&y_costs, elems)
+            } else {
+                (&x_costs, x_elems)
+            };
+            emit_phase(
+                net,
+                phase.name(),
+                phase_start,
+                end,
+                costs,
+                phase_elems,
+                precision,
+            );
+            phase_start = end;
+        }
+        emit_all_reduce(net, ends[3], elems, precision, model_stride);
+    }
+    Ok(TwoDimTiming {
+        time: ends[3],
+        breakdown: TwoDimBreakdown {
+            y_reduce_scatter: ends[0] - SimTime::ZERO,
+            x_reduce_scatter: ends[1] - ends[0],
+            x_all_gather: ends[2] - ends[1],
+            y_all_gather: ends[3] - ends[2],
+        },
+    })
+}
+
+/// A machine-wide phase span on the simulation track, with the α/β
+/// attribution the analytic model assigns to the phase; the same numbers
+/// flow into the telemetry registry when attached.
+fn emit_phase(
+    net: &Network,
+    name: &str,
+    start: SimTime,
+    end: SimTime,
+    costs: &RingCosts,
+    phase_elems: usize,
+    precision: Precision,
+) {
+    let alpha = costs.phase_alpha_seconds();
+    let beta = costs.phase_beta_seconds(phase_elems, precision, false);
+    let bytes = precision.wire_bytes(phase_elems);
+    emit_span(
+        net,
+        SpanEvent::new(Track::Sim, SpanCategory::CollectivePhase, name, start, end)
+            .with_bytes(bytes)
+            .with_arg("alpha_seconds", alpha)
+            .with_arg("beta_seconds", beta),
+    );
+    if let Some(telemetry) = net.telemetry() {
+        telemetry.observe(
+            MetricId::labeled(Subsystem::Collectives, "phase_seconds", name),
+            end - start,
+        );
+        telemetry.inc_counter(
+            MetricId::labeled(Subsystem::Collectives, "phase_bytes", name),
+            bytes,
+        );
+        telemetry.observe(
+            MetricId::labeled(Subsystem::Collectives, "model_alpha_seconds", name),
+            alpha,
+        );
+        telemetry.observe(
+            MetricId::labeled(Subsystem::Collectives, "model_beta_seconds", name),
+            beta,
+        );
+    }
+}
+
+/// The span and telemetry of the whole 2-D all-reduce.
+fn emit_all_reduce(
+    net: &Network,
+    end: SimTime,
+    elems: usize,
+    precision: Precision,
+    model_stride: u32,
+) {
+    emit_span(
+        net,
+        SpanEvent::new(
+            Track::Sim,
+            SpanCategory::Collective,
+            "2d-all-reduce",
+            SimTime::ZERO,
+            end,
+        )
+        .with_bytes(precision.wire_bytes(elems))
+        .with_arg("model_stride", model_stride as f64),
+    );
+    if let Some(telemetry) = net.telemetry() {
+        telemetry.inc_counter(MetricId::new(Subsystem::Collectives, "all_reduces"), 1);
+        telemetry.observe(
+            MetricId::new(Subsystem::Collectives, "all_reduce_seconds"),
+            end - SimTime::ZERO,
+        );
+    }
+}
+
+/// Moves real tensors: `state` holds each chip's current payload (chip-id
+/// order), replaced ring by ring as the phases run.
+struct NumericRunner<'f> {
+    state: Vec<Tensor>,
+    precision: Precision,
+    shard_update: Option<ShardUpdateFn<'f>>,
+}
+
+impl PhaseRunner for NumericRunner<'_> {
+    fn run_ring(
+        &mut self,
+        net: &mut Network,
+        phase: Phase,
+        ring: &Ring,
+        start: SimTime,
+    ) -> Result<SimTime, CollectiveError> {
+        let inputs: Vec<Tensor> = ring
+            .members()
+            .iter()
+            .map(|c| self.state[c.index()].clone())
+            .collect();
+        let (outputs, time) = if phase.reduces() {
+            let rs = ring::reduce_scatter(
+                net,
+                ring,
+                &inputs,
+                self.precision,
+                Direction::Forward,
+                start,
+            )?;
+            (rs.shards, rs.time)
+        } else {
+            let ag = ring::all_gather(
+                net,
+                ring,
+                &inputs,
+                self.precision,
+                Direction::Forward,
+                start,
+            )?;
+            (ag.outputs, ag.time)
+        };
+        for (member, output) in ring.members().iter().zip(outputs) {
+            self.state[member.index()] = output;
+        }
+        Ok(time)
+    }
+
+    fn between_halves(&mut self) {
+        if let Some(update) = self.shard_update.as_mut() {
+            for (i, shard) in self.state.iter_mut().enumerate() {
+                update(ChipId(i as u32), shard);
+            }
+        }
+    }
+}
+
+/// Walks the same transfers as [`NumericRunner`] for an `elems`-element
+/// payload per chip, without payloads. Every ring of a phase has the same
+/// member count, so one schedule serves the whole phase.
+struct TimedRunner {
+    elems: usize,
+    y_len: usize,
+    precision: Precision,
+    schedule: Option<(Phase, Schedule)>,
+}
+
+impl PhaseRunner for TimedRunner {
+    fn run_ring(
+        &mut self,
+        net: &mut Network,
+        phase: Phase,
+        ring: &Ring,
+        start: SimTime,
+    ) -> Result<SimTime, CollectiveError> {
+        let n = ring.len();
+        // Elements per message: the reduce halves split the chip's payload
+        // n ways (and reject payloads that do not split, as the numeric
+        // path does); the all-gathers send the reduced shards.
+        let chunk_elems = match phase {
+            Phase::YReduceScatter | Phase::XReduceScatter => {
+                let payload = if phase.along_y() {
+                    self.elems
+                } else {
+                    self.elems / self.y_len
+                };
+                if n == 0 || !payload.is_multiple_of(n) {
+                    return Err(CollectiveError::IndivisiblePayload {
+                        elems: payload,
+                        parts: n,
+                    });
+                }
+                payload / n
+            }
+            Phase::XAllGather => self.elems / self.y_len / n,
+            Phase::YAllGather => self.elems / n,
+        };
+        let schedule = match &mut self.schedule {
+            Some((p, schedule)) if *p == phase && schedule.num_members() == n => schedule,
+            slot => {
+                let schedule = if phase.reduces() {
+                    Schedule::reduce_scatter(n, Direction::Forward)
+                } else {
+                    Schedule::all_gather(n, Direction::Forward)
+                };
+                &mut slot.insert((phase, schedule)).1
+            }
+        };
+        ring::walk_schedule(
+            net,
+            ring,
+            schedule,
+            chunk_elems,
+            self.precision,
+            start,
+            |_| Ok(()),
+        )
+    }
+}
+
 /// Executes the 2-D gradient summation numerically over one tensor per
 /// chip (chip-id order), with an optional weight-update applied at each
 /// shard owner between the reduce and broadcast halves.
@@ -72,289 +391,95 @@ pub struct TwoDimOutput {
 /// parallelism; `k > 1` makes the X-phase rings hop over model peers so
 /// that only same-shard chips reduce together.
 ///
+/// This is the numeric reference of the schedule; callers that compute
+/// the sum elsewhere time it with [`two_dim_all_reduce_timed`].
+///
 /// # Errors
 ///
 /// Fails when `inputs.len()` differs from the chip count, payloads do not
 /// divide evenly across ring members, or shapes disagree.
+///
+/// # Panics
+///
+/// Panics when `model_stride` is zero or does not divide the mesh X
+/// extent.
 pub fn two_dim_all_reduce(
     net: &mut Network,
     inputs: &[Tensor],
     precision: Precision,
     model_stride: u32,
-    mut shard_update: Option<ShardUpdateFn<'_>>,
+    shard_update: Option<ShardUpdateFn<'_>>,
 ) -> Result<TwoDimOutput, CollectiveError> {
-    let mesh = net.mesh().clone();
-    if inputs.len() != mesh.num_chips() {
+    let chips = net.mesh().num_chips();
+    if inputs.len() != chips {
         return Err(CollectiveError::ParticipantMismatch {
             inputs: inputs.len(),
-            members: mesh.num_chips(),
+            members: chips,
         });
     }
     let shape = inputs[0].shape().clone();
-    let x_len = mesh.x_len();
-    let y_len = mesh.y_len();
-
-    // Phase 1: reduce-scatter along every Y ring (all columns concurrent).
-    let mut y_shards: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut phase_end = SimTime::ZERO;
-    for x in 0..x_len {
-        let ring_y = mesh.y_ring(x);
-        let col_inputs: Vec<Tensor> = ring_y
-            .members()
-            .iter()
-            .map(|c| inputs[c.index()].clone())
-            .collect();
-        let rs = ring::reduce_scatter(
-            net,
-            &ring_y,
-            &col_inputs,
-            precision,
-            Direction::Forward,
-            SimTime::ZERO,
-        )?;
-        for (member, shard) in ring_y.members().iter().zip(rs.shards) {
-            y_shards[member.index()] = Some(shard);
-        }
-        phase_end = phase_end.max(rs.time);
-    }
-    let y_rs_end = phase_end;
-
-    // Phase 2: reduce-scatter along X (strided over model peers).
-    let mut x_shards: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut x_rs_end = y_rs_end;
-    for y in 0..y_len {
-        for offset in 0..model_stride {
-            let ring_x = mesh.x_line_strided(y, offset, model_stride);
-            if ring_x.len() < 2 {
-                for &member in ring_x.members() {
-                    x_shards[member.index()] = y_shards[member.index()].clone();
-                }
-                continue;
-            }
-            // Invariant, not input-dependent: phase 1 filled `y_shards` for
-            // every chip (each chip is in exactly one Y ring), so this
-            // cannot fire for any caller-supplied payload.
-            let row_inputs: Vec<Tensor> = ring_x
-                .members()
-                .iter()
-                .map(|c| {
-                    y_shards[c.index()]
-                        .clone()
-                        .expect("phase 1 filled every y shard")
-                })
-                .collect();
-            let rs = ring::reduce_scatter(
-                net,
-                &ring_x,
-                &row_inputs,
-                precision,
-                Direction::Forward,
-                y_rs_end,
-            )?;
-            for (i, member) in ring_x.members().iter().enumerate() {
-                x_shards[member.index()] = Some(rs.shards[i].clone());
-            }
-            x_rs_end = x_rs_end.max(rs.time);
-        }
-    }
-
-    // Phase 3: the shard owner updates its slice (weight-update sharding).
-    if let Some(update) = shard_update.as_mut() {
-        for chip in mesh.chips() {
-            if let Some(shard) = x_shards[chip.index()].as_mut() {
-                update(chip, shard);
-            }
-        }
-    }
-
-    // Phase 4a: all-gather along X.
-    let mut x_full: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut x_ag_end = x_rs_end;
-    for y in 0..y_len {
-        for offset in 0..model_stride {
-            let ring_x = mesh.x_line_strided(y, offset, model_stride);
-            if ring_x.len() < 2 {
-                for &member in ring_x.members() {
-                    x_full[member.index()] = x_shards[member.index()].clone();
-                }
-                continue;
-            }
-            // Invariant: phase 2 filled `x_shards` for every chip (falling
-            // back to the Y shard on sub-2-member rings).
-            let shards: Vec<Tensor> = ring_x
-                .members()
-                .iter()
-                .map(|c| {
-                    x_shards[c.index()]
-                        .clone()
-                        .expect("phase 2 filled every x shard")
-                })
-                .collect();
-            let ag = ring::all_gather(
-                net,
-                &ring_x,
-                &shards,
-                precision,
-                Direction::Forward,
-                x_rs_end,
-            )?;
-            for (i, member) in ring_x.members().iter().enumerate() {
-                x_full[member.index()] = Some(ag.outputs[i].clone());
-            }
-            x_ag_end = x_ag_end.max(ag.time);
-        }
-    }
-
-    // Phase 4b: all-gather along Y.
-    let mut outputs: Vec<Option<Tensor>> = vec![None; inputs.len()];
-    let mut y_ag_end = x_ag_end;
-    for x in 0..x_len {
-        let ring_y = mesh.y_ring(x);
-        if ring_y.len() < 2 {
-            for &member in ring_y.members() {
-                outputs[member.index()] = x_full[member.index()].clone();
-            }
-            continue;
-        }
-        // Invariant: phase 4a filled `x_full` for every chip.
-        let shards: Vec<Tensor> = ring_y
-            .members()
-            .iter()
-            .map(|c| {
-                x_full[c.index()]
-                    .clone()
-                    .expect("phase 4a filled every x payload")
-            })
-            .collect();
-        let ag = ring::all_gather(
-            net,
-            &ring_y,
-            &shards,
-            precision,
-            Direction::Forward,
-            x_ag_end,
-        )?;
-        for (i, member) in ring_y.members().iter().enumerate() {
-            outputs[member.index()] = Some(ag.outputs[i].clone());
-        }
-        y_ag_end = y_ag_end.max(ag.time);
-    }
-
-    // Machine-wide phase spans on the simulation track, with the α/β
-    // attribution the analytic model assigns to each phase. The same
-    // per-phase numbers flow into the telemetry registry when attached.
-    if net.trace_sink().is_some() || net.telemetry().is_some() {
-        let elems = inputs[0].len();
-        let x_elems = elems.div_ceil(y_len.max(1) as usize);
-        let y_costs = RingCosts::from_ring(net, &mesh.y_ring(0), 1)?;
-        let x_costs =
-            RingCosts::from_ring(net, &mesh.x_line_strided(0, 0, model_stride), model_stride)?;
-        let phase = |name: &str, s: SimTime, e: SimTime, costs: &RingCosts, phase_elems: usize| {
-            let alpha = costs.phase_alpha_seconds();
-            let beta = costs.phase_beta_seconds(phase_elems, precision, false);
-            let bytes = precision.wire_bytes(phase_elems);
-            if net.trace_sink().is_some() {
-                emit_span(
-                    net,
-                    SpanEvent::new(Track::Sim, SpanCategory::CollectivePhase, name, s, e)
-                        .with_bytes(bytes)
-                        .with_arg("alpha_seconds", alpha)
-                        .with_arg("beta_seconds", beta),
-                );
-            }
-            if let Some(telemetry) = net.telemetry() {
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "phase_seconds", name),
-                    e - s,
-                );
-                telemetry.inc_counter(
-                    MetricId::labeled(Subsystem::Collectives, "phase_bytes", name),
-                    bytes,
-                );
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "model_alpha_seconds", name),
-                    alpha,
-                );
-                telemetry.observe(
-                    MetricId::labeled(Subsystem::Collectives, "model_beta_seconds", name),
-                    beta,
-                );
-            }
-        };
-        phase("y-reduce-scatter", SimTime::ZERO, y_rs_end, &y_costs, elems);
-        phase("x-reduce-scatter", y_rs_end, x_rs_end, &x_costs, x_elems);
-        phase("x-all-gather", x_rs_end, x_ag_end, &x_costs, x_elems);
-        phase("y-all-gather", x_ag_end, y_ag_end, &y_costs, elems);
-        if net.trace_sink().is_some() {
-            emit_span(
-                net,
-                SpanEvent::new(
-                    Track::Sim,
-                    SpanCategory::Collective,
-                    "2d-all-reduce",
-                    SimTime::ZERO,
-                    y_ag_end,
-                )
-                .with_bytes(precision.wire_bytes(elems))
-                .with_arg("model_stride", model_stride as f64),
-            );
-        }
-        if let Some(telemetry) = net.telemetry() {
-            telemetry.inc_counter(MetricId::new(Subsystem::Collectives, "all_reduces"), 1);
-            telemetry.observe(
-                MetricId::new(Subsystem::Collectives, "all_reduce_seconds"),
-                y_ag_end - SimTime::ZERO,
-            );
-        }
-    }
-
-    // The per-chip fill is an invariant of the phase structure; the final
-    // reshape back to the caller's shape surfaces typed rather than
-    // panicking on a pathological tensor state.
-    let mut reshaped: Vec<Tensor> = Vec::with_capacity(outputs.len());
-    for t in outputs {
-        reshaped.push(
-            t.expect("phase 4b filled every output")
-                .reshape(shape.clone())?,
-        );
-    }
-    let outputs = reshaped;
+    let mut runner = NumericRunner {
+        state: inputs.to_vec(),
+        precision,
+        shard_update,
+    };
+    let timing = run_phases(net, inputs[0].len(), precision, model_stride, &mut runner)?;
+    let outputs = runner
+        .state
+        .into_iter()
+        .map(|t| t.reshape(shape.clone()).map_err(CollectiveError::from))
+        .collect::<Result<Vec<Tensor>, CollectiveError>>()?;
     Ok(TwoDimOutput {
         outputs,
-        time: y_ag_end,
-        breakdown: TwoDimBreakdown {
-            y_reduce_scatter: y_rs_end - SimTime::ZERO,
-            x_reduce_scatter: x_rs_end - y_rs_end,
-            x_all_gather: x_ag_end - x_rs_end,
-            y_all_gather: y_ag_end - x_ag_end,
-        },
+        time: timing.time,
+        breakdown: timing.breakdown,
     })
+}
+
+/// Times [`two_dim_all_reduce`] of an `elems`-element payload per chip
+/// without moving tensors: the same transfers in the same order, the same
+/// spans and the same telemetry, and a bit-identical completion time and
+/// breakdown. For a host that already holds the sum (the data-parallel
+/// trainer), this is the collective's whole cost on the simulated network.
+///
+/// # Errors
+///
+/// Fails when the payload does not divide evenly across the ring members
+/// of a reduce phase, or a message is unroutable.
+///
+/// # Panics
+///
+/// See [`two_dim_all_reduce`].
+pub fn two_dim_all_reduce_timed(
+    net: &mut Network,
+    elems: usize,
+    precision: Precision,
+    model_stride: u32,
+) -> Result<TwoDimTiming, CollectiveError> {
+    let mut runner = TimedRunner {
+        elems,
+        y_len: net.mesh().y_len() as usize,
+        precision,
+        schedule: None,
+    };
+    run_phases(net, elems, precision, model_stride, &mut runner)
 }
 
 /// The index of the (flattened) payload chunk that `chip` owns between
 /// the reduce and broadcast halves of [`two_dim_all_reduce`] — i.e. which
 /// slice of `payload.split(0, shards)` a weight-update closure receives.
-/// Total shards = `y_len × (x_len / model_stride)`.
+/// Total shards = `y_len × (x_len / model_stride)`. Constant time.
 ///
 /// # Panics
 ///
 /// Panics when `model_stride` does not divide the mesh X extent.
 pub fn shard_index(mesh: &multipod_topology::Multipod, chip: ChipId, model_stride: u32) -> usize {
-    let c = mesh.coord_of(chip);
-    let y_len = mesh.y_len() as usize;
-    let y_chunk = if y_len < 2 {
-        0
-    } else {
-        Schedule::reduce_scatter(y_len, Direction::Forward).owned_chunk(c.y as usize)
-    };
     assert_eq!(mesh.x_len() % model_stride, 0, "stride must divide x_len");
+    let c = mesh.coord_of(chip);
+    let y_chunk = Schedule::owned_chunk_of(mesh.y_len() as usize, Direction::Forward, c.y as usize);
     let x_members = (mesh.x_len() / model_stride) as usize;
-    if x_members < 2 {
-        return y_chunk;
-    }
     let x_idx = (c.x / model_stride) as usize;
-    let x_chunk = Schedule::reduce_scatter(x_members, Direction::Forward).owned_chunk(x_idx);
-    y_chunk * x_members + x_chunk
+    y_chunk * x_members + Schedule::owned_chunk_of(x_members, Direction::Forward, x_idx)
 }
 
 /// α–β time for the 2-D all-reduce of `elems` gradient elements per
@@ -536,6 +661,66 @@ mod tests {
         };
         two_dim_all_reduce(&mut net, &ins, Precision::F32, 1, Some(&mut check)).unwrap();
         assert_eq!(seen.len(), n);
+    }
+
+    #[test]
+    fn shard_index_is_a_bijection_per_replica_group() {
+        for (x_len, y_len) in [(128u32, 32u32), (8, 2)] {
+            let mesh = Multipod::new(MultipodConfig::mesh(x_len, y_len, true));
+            for stride in [1u32, 2] {
+                let shards = (y_len * (x_len / stride)) as usize;
+                for offset in 0..stride {
+                    let mut seen = vec![false; shards];
+                    for chip in mesh
+                        .chips()
+                        .filter(|&c| mesh.coord_of(c).x % stride == offset)
+                    {
+                        let idx = shard_index(&mesh, chip, stride);
+                        assert!(idx < shards, "{x_len}x{y_len} stride {stride}: {idx}");
+                        assert!(!seen[idx], "{x_len}x{y_len} stride {stride}: {idx} twice");
+                        seen[idx] = true;
+                    }
+                    assert!(seen.iter().all(|&b| b), "{x_len}x{y_len} stride {stride}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn timed_schedule_replays_the_numeric_one() {
+        use multipod_telemetry::Telemetry;
+        use multipod_trace::Recorder;
+        let instrumented = |x, y| {
+            let mut net = setup(x, y);
+            let recorder = Recorder::shared();
+            let telemetry = Telemetry::shared();
+            net.set_trace_sink(recorder.clone());
+            net.set_telemetry(telemetry.clone());
+            (net, recorder, telemetry)
+        };
+        for (x, y, stride, elems) in [(4, 4, 1, 64), (8, 4, 2, 32), (2, 1, 1, 8), (1, 4, 1, 8)] {
+            for precision in [Precision::F32, Precision::Bf16] {
+                let (mut numeric_net, numeric_rec, numeric_tel) = instrumented(x, y);
+                let (mut timed_net, timed_rec, timed_tel) = instrumented(x, y);
+                let ins = random_inputs(x as usize * y as usize, elems, 4);
+                let numeric =
+                    two_dim_all_reduce(&mut numeric_net, &ins, precision, stride, None).unwrap();
+                let timed =
+                    two_dim_all_reduce_timed(&mut timed_net, elems, precision, stride).unwrap();
+                let what = format!("{x}x{y} stride {stride} {precision:?}");
+                assert_eq!(numeric.time, timed.time, "{what}");
+                assert_eq!(numeric.breakdown, timed.breakdown, "{what}");
+                assert_eq!(numeric_rec.events(), timed_rec.events(), "{what}");
+                assert_eq!(numeric_tel.snapshot(), timed_tel.snapshot(), "{what}");
+            }
+        }
+        // Payloads that do not split fail with the numeric path's error.
+        for elems in [6, 12] {
+            let ins = random_inputs(16, elems, 4);
+            let numeric = two_dim_all_reduce(&mut setup(4, 4), &ins, Precision::F32, 1, None);
+            let timed = two_dim_all_reduce_timed(&mut setup(4, 4), elems, Precision::F32, 1);
+            assert_eq!(numeric.unwrap_err(), timed.unwrap_err(), "{elems} elements");
+        }
     }
 
     #[test]

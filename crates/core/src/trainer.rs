@@ -7,6 +7,14 @@
 //! every replica with identical updated weights. A [`multipod_optim::LrSchedule`]
 //! drives the rate.
 //!
+//! The host already holds every replica's gradient, so the trainer sums
+//! and updates on the host and times the 2-D schedule on the simulated
+//! network without payloads
+//! ([`multipod_collectives::twod::two_dim_all_reduce_timed`]). The
+//! weights it writes back are bit-identical to chip 0's output of the
+//! numeric [`multipod_collectives::twod::two_dim_all_reduce`] with the
+//! update applied at the shard owners.
+//!
 //! ```
 //! use multipod_core::trainer::DataParallelTrainer;
 //! use multipod_optim::{LrSchedule, SgdMomentum};
@@ -33,7 +41,7 @@ use serde::{Deserialize, Serialize};
 use multipod_collectives::degraded::ring_degradation;
 use multipod_collectives::ring;
 use multipod_collectives::twod::{
-    bucketed_two_dim_all_reduce_time, shard_index, two_dim_all_reduce,
+    bucketed_two_dim_all_reduce_time, shard_index, two_dim_all_reduce_timed,
 };
 use multipod_collectives::{CollectiveError, Precision};
 use multipod_optim::{LayerStats, LrSchedule, Optimizer, StateKey};
@@ -221,13 +229,12 @@ impl<O: Optimizer> DataParallelTrainer<O> {
     ///
     /// # Errors
     ///
-    /// Fails when the gradient count differs from the replica count, the
-    /// payload does not shard evenly, or the mesh stays unroutable after
-    /// `max_retries` re-plans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if gradient shapes disagree with the weights.
+    /// Fails when the gradient count differs from the replica count
+    /// ([`CollectiveError::ParticipantMismatch`]), a gradient's shape
+    /// differs from another's or from the weights'
+    /// ([`CollectiveError::ShapeDisagreement`]), the payload does not shard
+    /// evenly, or the mesh stays unroutable after `max_retries` re-plans.
+    /// The count and shape checks run before optimizer state advances.
     pub fn step(
         &mut self,
         weights: &mut Tensor,
@@ -239,6 +246,9 @@ impl<O: Optimizer> DataParallelTrainer<O> {
                 inputs: local_grads.len(),
                 members: n,
             });
+        }
+        if local_grads.iter().any(|g| g.shape() != weights.shape()) {
+            return Err(CollectiveError::ShapeDisagreement);
         }
         let lr = self.schedule.at(self.step);
         self.optimizer.set_learning_rate(lr);
@@ -472,7 +482,8 @@ impl<O: Optimizer> DataParallelTrainer<O> {
     }
 
     /// The fault-free dataflow: 2-D gradient summation with the sharded
-    /// optimizer update applied at the shard owners (§3.2 + §3.3).
+    /// optimizer update applied at the shard owners (§3.2 + §3.3), summed
+    /// and updated on the host, timed on the network.
     fn full_step(
         &mut self,
         weights: &mut Tensor,
@@ -498,40 +509,32 @@ impl<O: Optimizer> DataParallelTrainer<O> {
             updates.push(u);
         }
 
-        // Phase B: the simulated 2-D summation; each shard owner applies
-        // its slice of the update before the broadcast half. The owner's
-        // slice index comes from the schedule itself, so this stays
-        // correct under bf16 payload quantization.
-        let optimizer = &self.optimizer;
-        let mesh = self.net.mesh().clone();
-        // The apply callback cannot return an error through the collective;
-        // capture the first failure and surface it after the reduce.
-        let mut apply_err: Option<multipod_optim::OptimError> = None;
-        let mut apply = |chip, shard: &mut Tensor| {
-            let s = shard_index(&mesh, chip, 1);
-            let mut w_shard = w_shards[s].clone();
-            if let Err(e) = optimizer.apply(&mut w_shard, &updates[s], global) {
-                apply_err.get_or_insert(e);
-            }
-            *shard = w_shard;
-        };
-        let out = two_dim_all_reduce(
-            &mut self.net,
-            local_grads,
-            self.precision,
-            1,
-            Some(&mut apply),
-        )?;
-        if let Some(e) = apply_err {
-            return Err(e.into());
+        // Phase B: time the simulated 2-D summation. Its reduce half would
+        // recompute `grad_sum`, and its broadcast half delivers the shard
+        // owners' updated slices, so the schedule runs without payloads
+        // and the numerics stay here.
+        let timing = two_dim_all_reduce_timed(&mut self.net, grad_sum.len(), self.precision, 1)?;
+        // Chip 0's copy after the all-gathers: its own slice as its owner
+        // computed it, every other slice as it arrived over the wire.
+        let own = shard_index(self.net.mesh(), ChipId(0), 1);
+        let mut updated = Vec::with_capacity(n);
+        for (s, (mut w_shard, update)) in w_shards.into_iter().zip(&updates).enumerate() {
+            self.optimizer
+                .apply(&mut w_shard, update, global)
+                .map_err(CollectiveError::from)?;
+            updated.push(if s == own {
+                w_shard
+            } else {
+                self.precision.quantize(&w_shard)
+            });
         }
-        *weights = out.outputs[0].clone().reshape(weights.shape().clone())?;
+        *weights = Tensor::concat(&updated, 0)?;
         if let Some(sink) = self.net.trace_sink() {
             // The sharded optimizer update runs at the shard owners
             // between the reduce and broadcast halves; the driver models
             // it as instantaneous in simulated time.
             let update_at = SimTime::from_seconds(
-                out.breakdown.y_reduce_scatter + out.breakdown.x_reduce_scatter,
+                timing.breakdown.y_reduce_scatter + timing.breakdown.x_reduce_scatter,
             );
             sink.record_span(
                 SpanEvent::new(
@@ -545,9 +548,9 @@ impl<O: Optimizer> DataParallelTrainer<O> {
                 .with_arg("lr", lr as f64),
             );
         }
-        // `two_dim_all_reduce` times its phases from SimTime::ZERO; shift
-        // by the step's (backoff-delayed) start.
-        Ok(start + out.time.seconds())
+        // The schedule is timed from SimTime::ZERO; shift by the step's
+        // (backoff-delayed) start.
+        Ok(start + timing.time.seconds())
     }
 
     /// The degraded dataflow after replica loss: gradients of the
