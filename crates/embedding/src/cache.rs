@@ -13,7 +13,7 @@ use std::collections::HashMap;
 const NIL: usize = usize::MAX;
 
 /// One arena slot of the recency list.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Node {
     key: (usize, usize),
     prev: usize,
@@ -23,8 +23,9 @@ struct Node {
 /// An exact-LRU cache over `(table, row)` keys.
 ///
 /// O(1) access and insert: a `HashMap` finds the arena slot, a doubly
-/// linked list threaded through the arena keeps recency order.
-#[derive(Clone, Debug, Default)]
+/// linked list threaded through the arena keeps recency order. Equality
+/// is structural: two caches fed the same accesses compare equal.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LruCache {
     capacity: usize,
     map: HashMap<(usize, usize), usize>,
@@ -138,7 +139,7 @@ impl LruCache {
 
 /// One LRU per home chip: each serving host caches the remote rows its
 /// own samples fetch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EmbeddingCache {
     per_chip: Vec<LruCache>,
 }

@@ -13,7 +13,9 @@
 //! This crate implements all three for real: [`Placement`] decides where
 //! each table lives, [`ShardedEmbedding`] executes distributed lookups
 //! over the simulated mesh (row-partitioned tables answer remote lookups
-//! via an all-to-all exchange that is timed on the network), and
+//! via an all-to-all exchange that is timed on the network),
+//! [`time_lookup`] prices the same lookup from the placement alone for
+//! callers that never read the values (serving), and
 //! [`masked_self_interaction`] computes the masked feature
 //! self-interaction.
 //!
@@ -39,4 +41,4 @@ pub use cache::{EmbeddingCache, LruCache};
 pub use error::EmbeddingError;
 pub use interaction::{masked_self_interaction, InteractionOutput};
 pub use placement::{EmbeddingSpec, Placement, TablePlacement};
-pub use sharded::{EvalAccumulator, LookupOutcome, ShardedEmbedding};
+pub use sharded::{time_lookup, EvalAccumulator, LookupOutcome, LookupTiming, ShardedEmbedding};

@@ -6,7 +6,7 @@ use multipod_simnet::{Network, SimTime};
 use multipod_tensor::{Shape, Tensor, TensorRng};
 use multipod_topology::ChipId;
 
-use crate::{EmbeddingCache, EmbeddingError, Placement, TablePlacement};
+use crate::{EmbeddingCache, EmbeddingError, Placement};
 
 /// The result of one distributed lookup step.
 #[derive(Clone, Debug)]
@@ -140,80 +140,22 @@ impl ShardedEmbedding {
         net: &mut Network,
         indices: &[Vec<usize>],
         start: SimTime,
-        mut cache: Option<&mut EmbeddingCache>,
+        cache: Option<&mut EmbeddingCache>,
     ) -> Result<LookupOutcome, EmbeddingError> {
-        let chips: Vec<ChipId> = net.mesh().chips().collect();
-        let n_chips = chips.len();
-        let batch = indices.len();
-        let tables = self.placement.num_tables();
-        let row_bytes = (self.dim * 4) as u64;
-
-        // Gather the numeric result and the per-(src,dst) traffic matrix.
-        let mut out = Vec::with_capacity(batch * tables * self.dim);
-        // BTreeMap so the all-to-all issues in a deterministic order —
-        // contention resolution, and thus timing, depends on it.
-        let mut traffic: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        let mut remote_rows = 0usize;
-        let mut local_rows = 0usize;
-        let mut cache_hits = 0usize;
-        for (sample, row_ids) in indices.iter().enumerate() {
-            if row_ids.len() != tables {
-                return Err(EmbeddingError::ArityMismatch {
-                    sample,
-                    got: row_ids.len(),
-                    tables,
-                });
-            }
-            let home = sample % n_chips;
-            for (t, &row) in row_ids.iter().enumerate() {
-                let spec = self.placement.spec(t);
-                if row >= spec.rows {
-                    return Err(EmbeddingError::RowOutOfRange {
-                        table: t,
-                        row,
-                        rows: spec.rows,
-                    });
-                }
-                out.extend_from_slice(&self.tables[t].data()[row * self.dim..(row + 1) * self.dim]);
-                match self.placement_kind(t) {
-                    TablePlacement::Replicated => local_rows += 1,
-                    TablePlacement::RowPartitioned => {
-                        let owner = self.placement.owner_of(t, row);
-                        if owner == home {
-                            local_rows += 1;
-                        } else if let Some(c) = cache.as_deref_mut() {
-                            if c.access(home, t, row) {
-                                cache_hits += 1;
-                            } else {
-                                remote_rows += 1;
-                                *traffic.entry((owner, home)).or_insert(0) += row_bytes;
-                            }
-                        } else {
-                            remote_rows += 1;
-                            *traffic.entry((owner, home)).or_insert(0) += row_bytes;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Time the response traffic as one bulk message per (owner, home)
-        // pair — the batched all-to-all of the optimized input path.
-        let messages: Vec<(ChipId, ChipId, u64)> = traffic
-            .into_iter()
-            .map(|((src, dst), bytes)| (chips[src], chips[dst], bytes))
-            .collect();
-        let time = if messages.is_empty() {
-            start
-        } else {
-            net.parallel_transfers(&messages, start)?
-        };
+        let dim = self.dim;
+        let mut out = Vec::with_capacity(indices.len() * self.placement.num_tables() * dim);
+        let timing = walk_lookup(&self.placement, net, indices, start, cache, |t, row| {
+            out.extend_from_slice(&self.tables[t].data()[row * dim..(row + 1) * dim]);
+        })?;
         Ok(LookupOutcome {
-            embeddings: Tensor::new(Shape::of(&[batch, tables * self.dim]), out),
-            time,
-            remote_rows,
-            local_rows,
-            cache_hits,
+            embeddings: Tensor::new(
+                Shape::of(&[indices.len(), self.placement.num_tables() * dim]),
+                out,
+            ),
+            time: timing.time,
+            remote_rows: timing.remote_rows,
+            local_rows: timing.local_rows,
+            cache_hits: timing.cache_hits,
         })
     }
 
@@ -253,14 +195,114 @@ impl ShardedEmbedding {
         }
         Ok(())
     }
+}
 
-    fn placement_kind(&self, t: usize) -> TablePlacement {
-        if self.placement.is_replicated(t) {
-            TablePlacement::Replicated
-        } else {
-            TablePlacement::RowPartitioned
+/// The time and row counts of one batch lookup, without the gathered
+/// values: what a caller that only prices the all-to-all needs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LookupTiming {
+    /// Completion time of the all-to-all exchange.
+    pub time: SimTime,
+    /// Remote rows fetched (crossed the mesh).
+    pub remote_rows: usize,
+    /// Local rows (replicated tables or locally owned rows).
+    pub local_rows: usize,
+    /// Remote rows served from the home chip's cache (no mesh traffic).
+    pub cache_hits: usize,
+}
+
+/// Times a batch lookup from the placement alone: the same walk as
+/// [`ShardedEmbedding::lookup`] / [`ShardedEmbedding::lookup_cached`]
+/// (pass `cache` for the latter), but no table is ever materialized —
+/// the serving path only reads the time and the row counts.
+///
+/// # Errors
+///
+/// As [`ShardedEmbedding::lookup`].
+pub fn time_lookup(
+    placement: &Placement,
+    net: &mut Network,
+    indices: &[Vec<usize>],
+    start: SimTime,
+    cache: Option<&mut EmbeddingCache>,
+) -> Result<LookupTiming, EmbeddingError> {
+    walk_lookup(placement, net, indices, start, cache, |_, _| {})
+}
+
+/// The one lookup walk: checks every request, probes the home caches,
+/// accumulates the `(owner, home)` traffic and times it on `net`.
+/// `gather(table, row)` runs once per valid request, in sample-major
+/// order, before that row's traffic is accounted.
+fn walk_lookup(
+    placement: &Placement,
+    net: &mut Network,
+    indices: &[Vec<usize>],
+    start: SimTime,
+    mut cache: Option<&mut EmbeddingCache>,
+    mut gather: impl FnMut(usize, usize),
+) -> Result<LookupTiming, EmbeddingError> {
+    let chips: Vec<ChipId> = net.mesh().chips().collect();
+    let n_chips = chips.len();
+    let tables = placement.num_tables();
+
+    // BTreeMap so the all-to-all issues in a deterministic order —
+    // contention resolution, and thus timing, depends on it.
+    let mut traffic: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    let mut remote_rows = 0usize;
+    let mut local_rows = 0usize;
+    let mut cache_hits = 0usize;
+    for (sample, row_ids) in indices.iter().enumerate() {
+        if row_ids.len() != tables {
+            return Err(EmbeddingError::ArityMismatch {
+                sample,
+                got: row_ids.len(),
+                tables,
+            });
+        }
+        let home = sample % n_chips;
+        for (t, &row) in row_ids.iter().enumerate() {
+            let spec = placement.spec(t);
+            if row >= spec.rows {
+                return Err(EmbeddingError::RowOutOfRange {
+                    table: t,
+                    row,
+                    rows: spec.rows,
+                });
+            }
+            gather(t, row);
+            if placement.is_replicated(t) {
+                local_rows += 1;
+                continue;
+            }
+            let owner = placement.owner_of(t, row);
+            if owner == home {
+                local_rows += 1;
+            } else if cache.as_deref_mut().is_some_and(|c| c.access(home, t, row)) {
+                cache_hits += 1;
+            } else {
+                remote_rows += 1;
+                *traffic.entry((owner, home)).or_insert(0) += (spec.dim * 4) as u64;
+            }
         }
     }
+
+    // Time the response traffic as one bulk message per (owner, home)
+    // pair — the batched all-to-all of the optimized input path.
+    let messages: Vec<(ChipId, ChipId, u64)> = traffic
+        .into_iter()
+        .map(|((src, dst), bytes)| (chips[src], chips[dst], bytes))
+        .collect();
+    let time = if messages.is_empty() {
+        start
+    } else {
+        net.parallel_transfers(&messages, start)?
+    };
+    Ok(LookupTiming {
+        time,
+        remote_rows,
+        local_rows,
+        cache_hits,
+    })
 }
 
 /// On-device evaluation accumulator (§4.6: "we perform multiple inference

@@ -1,6 +1,9 @@
 //! Property tests for the embedding substrate.
 
-use multipod_embedding::{masked_self_interaction, EmbeddingSpec, Placement, ShardedEmbedding};
+use multipod_embedding::{
+    masked_self_interaction, time_lookup, EmbeddingCache, EmbeddingError, EmbeddingSpec, Placement,
+    ShardedEmbedding,
+};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_topology::{Multipod, MultipodConfig};
 use proptest::prelude::*;
@@ -86,6 +89,80 @@ proptest! {
             batch * 2,
             "every lookup is accounted local or remote"
         );
+    }
+
+    /// The placement-only walk and the numeric cached lookup are one
+    /// walk: on twin networks and twin caches they report bit-identical
+    /// times and row counts batch after batch, leave the caches equal,
+    /// and fail with the same typed errors.
+    #[test]
+    fn timing_walk_matches_the_numeric_lookup(
+        batches in prop::collection::vec(
+            prop::collection::vec((0usize..32, 0usize..500), 1..24),
+            1..5,
+        ),
+        budget in prop::sample::select(vec![0u64, 1 << 9, 1 << 30]),
+        cache_rows in 0usize..16,
+        fault in 0usize..3,
+    ) {
+        let specs = vec![
+            EmbeddingSpec { rows: 32, dim: 3 },
+            EmbeddingSpec { rows: 500, dim: 3 },
+        ];
+        let placement = Placement::plan(&specs, 4, budget);
+        let emb = ShardedEmbedding::init(placement.clone(), 7).unwrap();
+        let twin = || {
+            let mesh = Multipod::new(MultipodConfig::mesh(2, 2, true));
+            (Network::new(mesh, NetworkConfig::tpu_v3()), EmbeddingCache::new(4, cache_rows))
+        };
+        let (mut net_a, mut cache_a) = twin();
+        let (mut net_b, mut cache_b) = twin();
+        let mut batches: Vec<Vec<Vec<usize>>> = batches
+            .into_iter()
+            .map(|b| b.into_iter().map(|(r0, r1)| vec![r0, r1]).collect())
+            .collect();
+        // Optionally break the last batch: a row past its table's end, or
+        // a sample missing an index.
+        let last = batches.last_mut().unwrap();
+        match fault {
+            1 => last.push(vec![0, 500]),
+            2 => last.push(vec![0]),
+            _ => {}
+        }
+        let (mut start_a, mut start_b) = (SimTime::ZERO, SimTime::ZERO);
+        let mut failure = None;
+        for indices in &batches {
+            let numeric = emb.lookup_cached(&mut net_a, indices, start_a, &mut cache_a);
+            let timed = time_lookup(&placement, &mut net_b, indices, start_b, Some(&mut cache_b));
+            match (numeric, timed) {
+                (Ok(n), Ok(t)) => {
+                    prop_assert_eq!(n.time.seconds().to_bits(), t.time.seconds().to_bits());
+                    prop_assert_eq!(
+                        (n.remote_rows, n.local_rows, n.cache_hits),
+                        (t.remote_rows, t.local_rows, t.cache_hits)
+                    );
+                    start_a = n.time;
+                    start_b = t.time;
+                }
+                (Err(n), Err(t)) => {
+                    prop_assert_eq!(&n, &t);
+                    failure = Some(n);
+                }
+                (n, t) => prop_assert!(false, "outcomes differ: {:?} vs {:?}", n.err(), t.err()),
+            }
+            prop_assert_eq!(&cache_a, &cache_b);
+        }
+        match fault {
+            1 => prop_assert!(matches!(
+                failure,
+                Some(EmbeddingError::RowOutOfRange { table: 1, row: 500, rows: 500 })
+            )),
+            2 => prop_assert!(matches!(
+                failure,
+                Some(EmbeddingError::ArityMismatch { got: 1, tables: 2, .. })
+            )),
+            _ => prop_assert_eq!(failure, None),
+        }
     }
 
     /// The masked interaction layout always carries exactly the

@@ -34,6 +34,5 @@ mod slice;
 
 pub use error::SchedError;
 pub use job::{arrival_stream, ArrivalConfig, JobKind, JobSpec, ServiceSpec};
-pub use multipod_telemetry::DistSummary;
 pub use sched::{KindStats, PodScheduler, SchedConfig, SchedReport, ServiceStats};
 pub use slice::{Slice, SliceAllocator};

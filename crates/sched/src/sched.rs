@@ -16,7 +16,8 @@
 //! Every decision is deterministic, so a campaign re-run is byte-identical
 //! — the property `repro_sched --check-determinism` gates in CI.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -235,6 +236,7 @@ struct ServiceRun {
 /// A dispatched job's slice occupancy.
 struct Running {
     slice: Slice,
+    priority: u8,
     started: SimTime,
     /// When the restore (if any) finished and stepping began.
     compute_from: SimTime,
@@ -256,7 +258,7 @@ pub struct PodScheduler {
     jobs: BTreeMap<u64, JobRun>,
     running: BTreeMap<u64, Running>,
     services: Vec<ServiceRun>,
-    pending: Vec<u64>,
+    pending: PendingQueue,
     tenant_usage: BTreeMap<u32, f64>,
     /// Memoized per-(kind chips) step seconds.
     step_cache: BTreeMap<(&'static str, u32), f64>,
@@ -291,7 +293,7 @@ impl PodScheduler {
             jobs: BTreeMap::new(),
             running: BTreeMap::new(),
             services: Vec::new(),
-            pending: Vec::new(),
+            pending: PendingQueue::default(),
             tenant_usage: BTreeMap::new(),
             step_cache: BTreeMap::new(),
             shape_cache: BTreeMap::new(),
@@ -387,26 +389,6 @@ impl PodScheduler {
         Ok(self.shape_cache.get_mut(&shape).expect("just inserted"))
     }
 
-    /// Queue order: priority, then fair-share usage (lighter tenants
-    /// first), then arrival, then id — a total order, so scheduling is
-    /// deterministic.
-    fn queue_order(&mut self) {
-        let usage = &self.tenant_usage;
-        let jobs = &self.jobs;
-        self.pending.sort_by(|a, b| {
-            let ja = &jobs[a];
-            let jb = &jobs[b];
-            let ua = usage.get(&ja.spec.tenant).copied().unwrap_or(0.0);
-            let ub = usage.get(&jb.spec.tenant).copied().unwrap_or(0.0);
-            ja.spec
-                .priority
-                .cmp(&jb.spec.priority)
-                .then(ua.total_cmp(&ub))
-                .then(ja.spec.arrival.cmp(&jb.spec.arrival))
-                .then(a.cmp(b))
-        });
-    }
-
     /// Runs the campaign to completion.
     ///
     /// # Errors
@@ -490,6 +472,7 @@ impl PodScheduler {
                     self.count("arrivals", 1);
                     let id = spec.id;
                     let model = JobModel::fresh(&spec, self.config.state_elems, self.config.lr);
+                    self.pending.push(&spec);
                     self.jobs.insert(
                         id,
                         JobRun {
@@ -505,7 +488,6 @@ impl PodScheduler {
                             completed_at: None,
                         },
                     );
-                    self.pending.push(id);
                     self.schedule_round(now, &mut queue)?;
                 }
                 Event::Completion { job, token } => {
@@ -531,7 +513,7 @@ impl PodScheduler {
                         run.draining = false;
                         run.enqueued_at = now;
                         self.allocator.free(v);
-                        self.pending.push(v);
+                        self.pending.push(&run.spec);
                     }
                     self.schedule_round(now, &mut queue)?;
                 }
@@ -656,39 +638,54 @@ impl PodScheduler {
                 None => self.try_preempt_for_service(i, now, queue)?,
             }
         }
-        self.queue_order();
-        let order: Vec<u64> = self.pending.clone();
-        let mut blocked_shapes: Vec<u32> = Vec::new();
-        let mut first_blocked: Option<u64> = None;
-        for id in order {
-            let run = &self.jobs[&id];
-            if run.draining {
-                continue;
-            }
-            let chips = run.spec.chips;
-            if blocked_shapes.contains(&chips) {
-                if first_blocked.is_none() {
-                    first_blocked = Some(id);
-                }
-                continue;
-            }
-            match self.allocator.allocate(id, chips)? {
-                Some(slice) => {
-                    self.pending.retain(|&p| p != id);
-                    self.dispatch(id, slice, now, queue)?;
-                }
-                None => {
-                    blocked_shapes.push(chips);
-                    if first_blocked.is_none() {
-                        first_blocked = Some(id);
-                    }
-                }
-            }
+        let pending = std::mem::take(&mut self.pending);
+        let dispatched = self.dispatch_pending(&pending, now, queue);
+        self.pending = pending;
+        let (dispatched, first_blocked) = dispatched?;
+        for id in dispatched {
+            self.pending.remove(&self.jobs[&id].spec);
         }
         if let Some(id) = first_blocked {
             self.try_preempt_for(id, now, queue)?;
         }
         Ok(())
+    }
+
+    /// Walks `pending` in queue order, dispatching every job that fits.
+    /// Returns the dispatched jobs and the first blocked one.
+    ///
+    /// A size that does not fit blocks every larger one too (a free
+    /// aligned rectangle of `2s` chips contains one of `s`), so once a job
+    /// is blocked the walk only visits smaller requests: the round costs
+    /// its allocation attempts, not the length of the queue.
+    fn dispatch_pending(
+        &mut self,
+        pending: &PendingQueue,
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+    ) -> Result<(Vec<u64>, Option<u64>), SchedError> {
+        let mut order = pending.round_order(&self.tenant_usage);
+        let mut dispatched = Vec::new();
+        let mut min_blocked = u32::MAX;
+        let mut first_blocked = None;
+        while let Some(id) = order.next_below(min_blocked) {
+            let run = &self.jobs[&id];
+            if run.draining {
+                continue;
+            }
+            let chips = run.spec.chips;
+            match self.allocator.allocate(id, chips)? {
+                Some(slice) => {
+                    self.dispatch(id, slice, now, queue)?;
+                    dispatched.push(id);
+                }
+                None => {
+                    min_blocked = chips;
+                    first_blocked.get_or_insert(id);
+                }
+            }
+        }
+        Ok((dispatched, first_blocked))
     }
 
     /// Dispatches `job` onto `slice`: restore its checkpoint if needed,
@@ -700,10 +697,11 @@ impl PodScheduler {
         now: SimTime,
         queue: &mut EventQueue<Event>,
     ) -> Result<(), SchedError> {
-        let (kind, chips, enqueued_at, needs_restore, lost_state) = {
+        let (kind, priority, chips, enqueued_at, needs_restore, lost_state) = {
             let run = &self.jobs[&job];
             (
                 run.spec.kind,
+                run.spec.priority,
                 run.spec.chips,
                 run.enqueued_at,
                 run.ckpt.is_some() && (run.preemptions > 0 || run.lost_state),
@@ -754,6 +752,7 @@ impl PodScheduler {
             job,
             Running {
                 slice,
+                priority,
                 started: now,
                 compute_from,
                 step_seconds,
@@ -813,43 +812,9 @@ impl PodScheduler {
             let run = &self.jobs[&job];
             (run.spec.priority, run.spec.chips)
         };
-        // Victims: strictly lower-priority running jobs, cheapest
-        // (latest-started, lowest-priority) first. Deterministic order.
-        let mut candidates: Vec<u64> = self
-            .running
-            .keys()
-            .copied()
-            .filter(|id| self.jobs[id].spec.priority > priority)
-            .collect();
-        if candidates.is_empty() {
-            return Ok(());
-        }
-        candidates.sort_by(|a, b| {
-            let ja = &self.jobs[a];
-            let jb = &self.jobs[b];
-            jb.spec
-                .priority
-                .cmp(&ja.spec.priority)
-                .then(self.running[b].started.cmp(&self.running[a].started))
-                .then(b.cmp(a))
-        });
-        // Free victims hypothetically until the blocked job fits.
-        let mut trial = self.allocator.clone();
-        let mut victims = Vec::new();
-        for v in candidates {
-            trial.free(v);
-            victims.push(v);
-            if trial.allocate(job, chips)?.is_some() {
-                // Enough space: preempt exactly this set.
-                let mut latest = now;
-                for &v in &victims {
-                    let free_at = self.preempt(v, now)?;
-                    latest = latest.max(free_at);
-                }
-                queue.schedule(latest, Event::SliceFreed { victims });
-                return Ok(());
-            }
-        }
+        // Victims: strictly lower-priority running jobs.
+        let candidates = self.victim_order(|r| r.priority > priority);
+        self.preempt_to_fit(job, chips, &candidates, now, queue)?;
         Ok(())
     }
 
@@ -864,30 +829,9 @@ impl PodScheduler {
     ) -> Result<(), SchedError> {
         let id = SERVICE_ID_BASE + svc as u64;
         let chips = self.services[svc].spec.chips;
-        let mut candidates: Vec<u64> = self.running.keys().copied().collect();
-        candidates.sort_by(|a, b| {
-            let ja = &self.jobs[a];
-            let jb = &self.jobs[b];
-            jb.spec
-                .priority
-                .cmp(&ja.spec.priority)
-                .then(self.running[b].started.cmp(&self.running[a].started))
-                .then(b.cmp(a))
-        });
-        let mut trial = self.allocator.clone();
-        let mut victims = Vec::new();
-        for v in candidates {
-            trial.free(v);
-            victims.push(v);
-            if trial.allocate(id, chips)?.is_some() {
-                let mut latest = now;
-                for &v in &victims {
-                    let free_at = self.preempt(v, now)?;
-                    latest = latest.max(free_at);
-                }
-                queue.schedule(latest, Event::SliceFreed { victims });
-                return Ok(());
-            }
+        let candidates = self.victim_order(|_| true);
+        if self.preempt_to_fit(id, chips, &candidates, now, queue)? {
+            return Ok(());
         }
         // Nothing (left) to preempt. Draining victims from an earlier
         // round will free space shortly; otherwise the mesh genuinely
@@ -899,6 +843,44 @@ impl PodScheduler {
             service: self.services[svc].spec.name.clone(),
             chips,
         })
+    }
+
+    /// The running jobs `eligible` admits, cheapest victim first: lowest
+    /// priority, then latest started, then highest id. Deterministic.
+    fn victim_order(&self, eligible: impl Fn(&Running) -> bool) -> Vec<u64> {
+        let mut keyed: Vec<(u8, SimTime, u64)> = self
+            .running
+            .iter()
+            .filter(|(_, r)| eligible(r))
+            .map(|(&id, r)| (r.priority, r.started, id))
+            .collect();
+        keyed.sort_unstable_by(|a, b| b.cmp(a));
+        keyed.into_iter().map(|(_, _, id)| id).collect()
+    }
+
+    /// Preempts the shortest prefix of `candidates` whose slices make room
+    /// for a `chips` request under `id`; the victims checkpoint and their
+    /// slices free when the slowest save completes. Returns whether any
+    /// prefix sufficed.
+    fn preempt_to_fit(
+        &mut self,
+        id: u64,
+        chips: u32,
+        candidates: &[u64],
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+    ) -> Result<bool, SchedError> {
+        let Some(needed) = self.allocator.victims_needed(id, chips, candidates)? else {
+            return Ok(false);
+        };
+        let victims = candidates[..needed].to_vec();
+        let mut latest = now;
+        for &v in &victims {
+            let free_at = self.preempt(v, now)?;
+            latest = latest.max(free_at);
+        }
+        queue.schedule(latest, Event::SliceFreed { victims });
+        Ok(true)
     }
 
     /// Preempts running `job` at `now`: advance its model for the steps
@@ -1036,12 +1018,120 @@ impl PodScheduler {
         run.steps_done = run.ckpt.as_ref().map_or(0, |c| c.manifest.step);
         run.enqueued_at = now;
         run.draining = false;
-        if !self.pending.contains(&job) {
-            self.pending.push(job);
+        if !self.pending.contains(&run.spec) {
+            self.pending.push(&run.spec);
         }
         self.fault_kills += 1;
         self.count("fault_kills", 1);
         Ok(())
+    }
+}
+
+/// An `(arrival, id)`-ordered queue of pending jobs.
+type ArrivalQueue = BTreeSet<(SimTime, u64)>;
+
+/// The pending jobs, held so that each round's queue order — priority,
+/// then fair-share usage (lighter tenants first), then arrival, then id,
+/// a total order — comes out without sorting the whole queue: one queue
+/// per `(priority, tenant, chips)` in `(arrival, id)` order, merged per
+/// round by the tenants' current usage.
+#[derive(Default)]
+struct PendingQueue {
+    queues: BTreeMap<(u8, u32, u32), ArrivalQueue>,
+}
+
+impl PendingQueue {
+    fn key(spec: &JobSpec) -> (u8, u32, u32) {
+        (spec.priority, spec.tenant, spec.chips)
+    }
+
+    fn push(&mut self, spec: &JobSpec) {
+        self.queues
+            .entry(Self::key(spec))
+            .or_default()
+            .insert((spec.arrival, spec.id));
+    }
+
+    fn remove(&mut self, spec: &JobSpec) {
+        let key = Self::key(spec);
+        if let Some(queue) = self.queues.get_mut(&key) {
+            queue.remove(&(spec.arrival, spec.id));
+            if queue.is_empty() {
+                self.queues.remove(&key);
+            }
+        }
+    }
+
+    fn contains(&self, spec: &JobSpec) -> bool {
+        self.queues
+            .get(&Self::key(spec))
+            .is_some_and(|q| q.contains(&(spec.arrival, spec.id)))
+    }
+
+    /// This round's queue order under the tenants' `usage`.
+    fn round_order(&self, usage: &BTreeMap<u32, f64>) -> RoundOrder<'_> {
+        let mut keyed: Vec<(u8, f64, u32, &ArrivalQueue)> = self
+            .queues
+            .iter()
+            .map(|(&(priority, tenant, chips), q)| {
+                (
+                    priority,
+                    usage.get(&tenant).copied().unwrap_or(0.0),
+                    chips,
+                    q,
+                )
+            })
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        // Queues of one priority whose tenants' usages tie interleave by
+        // arrival: they form one run, merged.
+        let mut runs: Vec<Vec<(u32, &ArrivalQueue)>> = Vec::new();
+        for (i, &(priority, used, chips, q)) in keyed.iter().enumerate() {
+            let tied =
+                i > 0 && keyed[i - 1].0 == priority && keyed[i - 1].1.total_cmp(&used).is_eq();
+            match runs.last_mut() {
+                Some(run) if tied => run.push((chips, q)),
+                _ => runs.push(vec![(chips, q)]),
+            }
+        }
+        RoundOrder {
+            runs: runs.into_iter(),
+            heads: Vec::new(),
+        }
+    }
+}
+
+/// A cursor into one [`ArrivalQueue`].
+type QueueHead<'a> = Peekable<btree_set::Iter<'a, (SimTime, u64)>>;
+
+/// One round's walk over the pending jobs in queue order.
+struct RoundOrder<'a> {
+    runs: std::vec::IntoIter<Vec<(u32, &'a ArrivalQueue)>>,
+    /// The current run's queues, by slice size.
+    heads: Vec<(u32, QueueHead<'a>)>,
+}
+
+impl RoundOrder<'_> {
+    /// The next job in queue order among those asking for fewer than
+    /// `bound` chips. `bound` must not grow between calls: queues at or
+    /// above it are dropped for the rest of the round.
+    fn next_below(&mut self, bound: u32) -> Option<u64> {
+        loop {
+            self.heads.retain(|&(chips, _)| chips < bound);
+            let next = self
+                .heads
+                .iter_mut()
+                .filter_map(|(_, h)| Some((*h.peek()?, h)))
+                .min_by_key(|&(key, _)| key);
+            if let Some((_, head)) = next {
+                return head.next().map(|&(_, id)| id);
+            }
+            let run = self.runs.next()?;
+            self.heads = run
+                .into_iter()
+                .map(|(chips, q)| (chips, q.iter().peekable()))
+                .collect();
+        }
     }
 }
 
@@ -1057,6 +1147,92 @@ fn mean(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use multipod_simnet::SimTime;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The queue order by definition: the pending ids sorted by
+    /// `(priority, tenant usage, arrival, id)`, with map lookups inside
+    /// the comparator. The oracle [`PendingQueue`] must reproduce.
+    fn oracle_order(jobs: &BTreeMap<u64, JobSpec>, usage: &BTreeMap<u32, f64>) -> Vec<u64> {
+        let mut pending: Vec<u64> = jobs.keys().copied().collect();
+        pending.sort_by(|a, b| {
+            let ja = &jobs[a];
+            let jb = &jobs[b];
+            let ua = usage.get(&ja.tenant).copied().unwrap_or(0.0);
+            let ub = usage.get(&jb.tenant).copied().unwrap_or(0.0);
+            ja.priority
+                .cmp(&jb.priority)
+                .then(ua.total_cmp(&ub))
+                .then(ja.arrival.cmp(&jb.arrival))
+                .then(a.cmp(b))
+        });
+        pending
+    }
+
+    fn walk(pending: &PendingQueue, usage: &BTreeMap<u32, f64>, bound: u32) -> Vec<u64> {
+        let mut order = pending.round_order(usage);
+        std::iter::from_fn(|| order.next_below(bound)).collect()
+    }
+
+    #[test]
+    fn pending_order_matches_the_comparator_sort() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        for _ in 0..300 {
+            // Few arrival instants, tenants and usage levels, so tied
+            // usages and tied arrivals are the common case.
+            let mut jobs = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..150) {
+                let id = rng.gen_range(0..1_000u64);
+                let priority = rng.gen_range(0..4u8);
+                let kind = [
+                    JobKind::Eval,
+                    JobKind::Bert,
+                    JobKind::Resnet50,
+                    JobKind::Dlrm,
+                ][priority as usize];
+                jobs.insert(
+                    id,
+                    JobSpec {
+                        id,
+                        kind,
+                        tenant: rng.gen_range(0..6),
+                        priority,
+                        chips: 1u32 << rng.gen_range(1..10u32),
+                        steps: 1,
+                        arrival: SimTime::from_seconds(f64::from(rng.gen_range(0..5u32)) * 0.25),
+                    },
+                );
+            }
+            // Tenants absent from the map count as zero usage.
+            let mut usage = BTreeMap::new();
+            for tenant in 0..6u32 {
+                if rng.gen_bool(0.7) {
+                    usage.insert(tenant, [0.0, 1.5, 3.0][rng.gen_range(0..3usize)]);
+                }
+            }
+            let mut pending = PendingQueue::default();
+            for spec in jobs.values() {
+                pending.push(spec);
+            }
+            // Jobs leave the queue as they dispatch.
+            let leaving: Vec<u64> = jobs.keys().copied().filter(|_| rng.gen_bool(0.2)).collect();
+            for id in leaving {
+                let spec = jobs.remove(&id).expect("listed");
+                assert!(pending.contains(&spec));
+                pending.remove(&spec);
+                assert!(!pending.contains(&spec));
+            }
+            let expected = oracle_order(&jobs, &usage);
+            assert_eq!(walk(&pending, &usage, u32::MAX), expected);
+            // A bound drops the larger requests and keeps the order.
+            let bound = 1u32 << rng.gen_range(1..11u32);
+            let below: Vec<u64> = expected
+                .into_iter()
+                .filter(|id| jobs[id].chips < bound)
+                .collect();
+            assert_eq!(walk(&pending, &usage, bound), below);
+        }
+    }
 
     fn small_config(jobs: u32, seed: u64) -> SchedConfig {
         SchedConfig {

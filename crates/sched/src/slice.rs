@@ -9,6 +9,8 @@
 //! that covers them. Determinism is what makes whole scheduling campaigns
 //! byte-reproducible.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use multipod_topology::{ChipId, Coord, Multipod};
@@ -59,11 +61,19 @@ enum Cell {
 /// shape, anchors aligned to the shape itself (buddy alignment — slices
 /// of one shape tile the mesh exactly, which keeps fragmentation at
 /// zero when the job mix is power-of-two, as TPU slices are).
+///
+/// Beside the cells it keeps each owner's slices and the busy and live
+/// counts, so [`SliceAllocator::free`] costs the slice's area and
+/// [`SliceAllocator::busy_chips`] / [`SliceAllocator::live_chips`] are
+/// O(1). A recorded slice's cells are always `Busy(owner)` or `Dead`.
 #[derive(Clone, Debug)]
 pub struct SliceAllocator {
     x_len: u32,
     y_len: u32,
     cells: Vec<Cell>,
+    slices: BTreeMap<u64, Vec<Slice>>,
+    busy: u32,
+    live: u32,
 }
 
 impl SliceAllocator {
@@ -81,11 +91,15 @@ impl SliceAllocator {
                     Cell::Free
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let live = cells.iter().filter(|c| **c != Cell::Dead).count() as u32;
         SliceAllocator {
             x_len,
             y_len,
             cells,
+            slices: BTreeMap::new(),
+            busy: 0,
+            live,
         }
     }
 
@@ -171,13 +185,12 @@ impl SliceAllocator {
         for (w, h) in self.shapes_for(job, chips)? {
             if let Some((x0, y0)) = self.find_anchor(w, h) {
                 let slice = Slice { x0, y0, w, h };
-                for y in y0..y0 + h {
-                    for x in x0..x0 + w {
-                        let i = self.idx(x, y);
-                        debug_assert_eq!(self.cells[i], Cell::Free);
-                        self.cells[i] = Cell::Busy(job);
-                    }
+                for i in self.slice_cells(&slice) {
+                    debug_assert_eq!(self.cells[i], Cell::Free);
+                    self.cells[i] = Cell::Busy(job);
                 }
+                self.busy += slice.chips();
+                self.slices.entry(job).or_default().push(slice);
                 return Ok(Some(slice));
             }
         }
@@ -196,29 +209,135 @@ impl SliceAllocator {
     }
 
     /// Frees every cell `job` occupies (dead cells stay dead). Returns
-    /// the number of chips released.
+    /// the number of chips released: 0 for a job holding no slice.
     pub fn free(&mut self, job: u64) -> u32 {
+        let Some(slices) = self.slices.remove(&job) else {
+            return 0;
+        };
         let mut released = 0;
-        for cell in &mut self.cells {
-            if *cell == Cell::Busy(job) {
-                *cell = Cell::Free;
-                released += 1;
+        for slice in &slices {
+            for i in self.slice_cells(slice) {
+                if self.cells[i] == Cell::Busy(job) {
+                    self.cells[i] = Cell::Free;
+                    released += 1;
+                }
             }
         }
+        self.busy -= released;
         released
+    }
+
+    /// Cell indices covered by `slice`, row-major.
+    fn slice_cells(&self, slice: &Slice) -> impl Iterator<Item = usize> {
+        let (x_len, x0, w) = (self.x_len, slice.x0, slice.w);
+        (slice.y0..slice.y0 + slice.h)
+            .flat_map(move |y| (x0..x0 + w).map(move |x| (y * x_len + x) as usize))
     }
 
     /// Marks a chip dead. Returns the job occupying it, if any; the
     /// caller is responsible for killing that job (its remaining cells
-    /// free via [`SliceAllocator::free`], this one stays dead).
+    /// free via [`SliceAllocator::free`], this one stays dead). Marking
+    /// an already-dead chip changes nothing and returns `None`.
     pub fn mark_dead(&mut self, chip: ChipId) -> Option<u64> {
         let i = chip.index();
         let previous = self.cells[i];
         self.cells[i] = Cell::Dead;
         match previous {
-            Cell::Busy(job) => Some(job),
-            _ => None,
+            Cell::Dead => None,
+            Cell::Free => {
+                self.live -= 1;
+                None
+            }
+            Cell::Busy(job) => {
+                self.live -= 1;
+                self.busy -= 1;
+                Some(job)
+            }
         }
+    }
+
+    /// How many of `victims` must be freed, in order, before a slice of
+    /// `chips` fits: `Some(k)` when freeing the first `k` suffices and
+    /// the first `k − 1` do not, `None` when freeing them all does not.
+    /// A dry run: the allocator is left exactly as it was.
+    ///
+    /// The request must not fit as things stand (the caller's allocation
+    /// has just failed). A rectangle that fits after a victim is freed
+    /// then overlaps that victim's slice, so each step rescans only the
+    /// anchors around it rather than the whole mesh; and when the free
+    /// chips plus all the victims' cannot cover the request, no cell is
+    /// scanned at all.
+    ///
+    /// # Errors
+    ///
+    /// As [`SliceAllocator::shapes_for`].
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the request already fits.
+    pub fn victims_needed(
+        &mut self,
+        job: u64,
+        chips: u32,
+        victims: &[u64],
+    ) -> Result<Option<usize>, SchedError> {
+        let shapes = self.shapes_for(job, chips)?;
+        debug_assert!(!self.would_fit(job, chips)?, "request already fits");
+        let reclaimable: u32 = victims
+            .iter()
+            .filter_map(|v| self.slices.get(v))
+            .flatten()
+            .map(Slice::chips)
+            .sum();
+        if self.live - self.busy + reclaimable < chips {
+            return Ok(None);
+        }
+        let mut freed: Vec<(usize, u64)> = Vec::new();
+        let mut needed = None;
+        for (k, &v) in victims.iter().enumerate() {
+            let Some(slices) = self.slices.get(&v) else {
+                continue;
+            };
+            let from = freed.len();
+            for slice in slices {
+                for i in self.slice_cells(slice) {
+                    if self.cells[i] == Cell::Busy(v) {
+                        freed.push((i, v));
+                    }
+                }
+            }
+            for &(i, _) in &freed[from..] {
+                self.cells[i] = Cell::Free;
+            }
+            let slices = &self.slices[&v];
+            if slices
+                .iter()
+                .any(|region| shapes.iter().any(|&(w, h)| self.fits_near(w, h, region)))
+            {
+                needed = Some(k + 1);
+                break;
+            }
+        }
+        for (i, v) in freed {
+            self.cells[i] = Cell::Busy(v);
+        }
+        Ok(needed)
+    }
+
+    /// Whether some free shape-aligned `w × h` rectangle overlaps `region`.
+    fn fits_near(&self, w: u32, h: u32, region: &Slice) -> bool {
+        let mut y0 = region.y0 / h * h;
+        while y0 < region.y0 + region.h && y0 + h <= self.y_len {
+            let mut x0 = region.x0 / w * w;
+            while x0 < region.x0 + region.w && x0 + w <= self.x_len {
+                if self.rect_free(x0, y0, w, h) {
+                    return true;
+                }
+                x0 += w;
+            }
+            y0 += h;
+        }
+        false
     }
 
     /// The mesh coordinate of a cell index, for fault bookkeeping.
@@ -231,15 +350,12 @@ impl SliceAllocator {
 
     /// Chips not dead.
     pub fn live_chips(&self) -> u32 {
-        self.cells.iter().filter(|c| **c != Cell::Dead).count() as u32
+        self.live
     }
 
     /// Chips currently allocated to jobs.
     pub fn busy_chips(&self) -> u32 {
-        self.cells
-            .iter()
-            .filter(|c| matches!(c, Cell::Busy(_)))
-            .count() as u32
+        self.busy
     }
 
     /// The job occupying `chip`, if any.
@@ -257,13 +373,7 @@ impl SliceAllocator {
 
     /// Chip ids covered by `slice` in row-major order.
     pub fn slice_chips(&self, slice: &Slice) -> Vec<ChipId> {
-        let mut out = Vec::with_capacity(slice.chips() as usize);
-        for y in slice.y0..slice.y0 + slice.h {
-            for x in slice.x0..slice.x0 + slice.w {
-                out.push(ChipId(y * self.x_len + x));
-            }
-        }
-        out
+        self.slice_cells(slice).map(|i| ChipId(i as u32)).collect()
     }
 }
 

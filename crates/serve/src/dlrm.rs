@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use multipod_embedding::{EmbeddingCache, EmbeddingSpec, Placement, ShardedEmbedding};
+use multipod_embedding::{time_lookup, EmbeddingCache, EmbeddingSpec, Placement};
 use multipod_models::{catalog, TpuV3};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_taskgraph::{Resource, TaskGraph, TaskKind};
@@ -50,8 +50,6 @@ pub struct DlrmServeConfig {
     pub cache_rows_per_chip: usize,
     /// Replication budget handed to [`Placement::plan`], bytes per chip.
     pub replication_budget_bytes: u64,
-    /// Seed for the table initialization.
-    pub table_seed: u64,
 }
 
 impl DlrmServeConfig {
@@ -65,7 +63,6 @@ impl DlrmServeConfig {
             embedding_dim: 32,
             cache_rows_per_chip: 4096,
             replication_budget_bytes: 1 << 20,
-            table_seed: 99,
         }
     }
 }
@@ -168,7 +165,6 @@ impl DlrmServer {
             self.config.stream.tables
         ];
         let placement = Placement::plan(&specs, chips, self.config.replication_budget_bytes);
-        let emb = ShardedEmbedding::init(placement, self.config.table_seed)?;
         let mut cache = EmbeddingCache::new(chips, self.config.cache_rows_per_chip);
 
         let tpu = TpuV3::new();
@@ -185,7 +181,15 @@ impl DlrmServer {
                 .iter()
                 .flat_map(|&r| requests[r].samples.iter().cloned())
                 .collect();
-            let outcome = emb.lookup_cached(&mut net, &indices, SimTime::ZERO, &mut cache)?;
+            // Serving reads only the lookup's time and row counts, so it
+            // is priced from the placement; no table is materialized.
+            let outcome = time_lookup(
+                &placement,
+                &mut net,
+                &indices,
+                SimTime::ZERO,
+                Some(&mut cache),
+            )?;
             net.reset();
             remote_rows += outcome.remote_rows as u64;
             let all_to_all_s = outcome.time.seconds();
