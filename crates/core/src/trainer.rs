@@ -619,10 +619,9 @@ impl<O: Optimizer> DataParallelTrainer<O> {
             updates.push(u);
         }
         let mut updated = Vec::with_capacity(n);
-        for idx in 0..n {
-            let mut w_shard = w_shards[idx].clone();
+        for (mut w_shard, update) in w_shards.into_iter().zip(&updates) {
             self.optimizer
-                .apply(&mut w_shard, &updates[idx], global)
+                .apply(&mut w_shard, update, global)
                 .map_err(CollectiveError::from)?;
             updated.push(w_shard);
         }

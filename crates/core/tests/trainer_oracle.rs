@@ -7,8 +7,10 @@
 //! reduce and broadcast halves, and chip 0's output taken as the new
 //! weights. Both must agree bit for bit — weights, simulated step time,
 //! the Chrome-trace export and the telemetry registry — across
-//! precisions, optimizers and mesh shapes, including sub-2-member rings
-//! and a detoured step.
+//! precisions, optimizers and mesh shapes, including sub-2-member rings,
+//! a detoured step and weights that span several blocks of the gradient
+//! sum. The survivor step after a chip loss is held to a host-side
+//! oracle of its own, also bit for bit.
 
 use std::sync::Arc;
 
@@ -18,6 +20,7 @@ use multipod_core::trainer::DataParallelTrainer;
 use multipod_optim::{Lamb, Lars, LayerStats, LrSchedule, Optimizer, SgdMomentum, StateKey};
 use multipod_simnet::{Network, NetworkConfig, SimTime};
 use multipod_telemetry::Telemetry;
+use multipod_tensor::kernels::BLOCK;
 use multipod_tensor::{Shape, Tensor, TensorRng};
 use multipod_topology::{Multipod, MultipodConfig};
 use multipod_trace::{Recorder, SpanCategory, SpanEvent, Track};
@@ -116,10 +119,22 @@ struct Case {
     weight_shape: fn(usize) -> Shape,
 }
 
+/// At least three [`BLOCK`]s of the gradient sum plus a ragged tail, in
+/// `n` equal shards.
+fn multi_block(n: usize) -> Shape {
+    Shape::vector(n * ((3 * BLOCK).div_ceil(n) + 5))
+}
+
 fn cases() -> Vec<Case> {
     let vector = |n: usize| Shape::vector(4 * n);
     let matrix = |n: usize| Shape::of(&[2 * n, 3]);
     vec![
+        Case {
+            name: "2x2 torus, multi-block weights",
+            mesh: MultipodConfig::mesh(2, 2, true),
+            failed_wrap: false,
+            weight_shape: multi_block,
+        },
         Case {
             name: "4x4 torus",
             mesh: MultipodConfig::mesh(4, 4, true),
@@ -248,6 +263,97 @@ fn lamb_step_matches_the_numeric_oracle() {
 #[test]
 fn lars_step_matches_the_numeric_oracle() {
     check(
+        "LARS",
+        || Lars::new(0.1, 0.9, 1e-4),
+        LrSchedule::lars_resnet(2.0, 2, STEPS as u64),
+    );
+}
+
+/// The survivor step's numeric reference on the host: the survivors'
+/// gradients summed in the trainer's ring order, scaled by `n / s`, then
+/// every shard prepared and applied by `optimizer`, and the shards
+/// concatenated.
+fn survivor_oracle<O: Optimizer>(
+    optimizer: &mut O,
+    weights: &mut Tensor,
+    grads: &[Tensor],
+    ring_order: &[usize],
+) {
+    let n = grads.len();
+    let mut grad_sum = grads[ring_order[0]].clone();
+    for &i in &ring_order[1..] {
+        grad_sum.axpy(1.0, &grads[i]).unwrap();
+    }
+    let grad_sum = grad_sum.scale(n as f32 / ring_order.len() as f32);
+    let w_shards = weights.split(0, n).unwrap();
+    let g_shards = grad_sum.split(0, n).unwrap();
+    let mut global = LayerStats::default();
+    let mut updates = Vec::with_capacity(n);
+    for s in 0..n {
+        let (u, stats) = optimizer
+            .prepare(StateKey { layer: 0, shard: s }, &w_shards[s], &g_shards[s])
+            .unwrap();
+        global = global.merge(stats);
+        updates.push(u);
+    }
+    let updated: Vec<Tensor> = w_shards
+        .into_iter()
+        .zip(&updates)
+        .map(|(mut w, u)| {
+            optimizer.apply(&mut w, u, global).unwrap();
+            w
+        })
+        .collect();
+    *weights = Tensor::concat(&updated, 0).unwrap();
+}
+
+/// One chip of a 4×4 torus fails before the first step; every step then
+/// runs on the survivors, with multi-block weights, and must match
+/// [`survivor_oracle`] bit for bit.
+fn check_survivors<O: Optimizer>(label: &str, make: fn() -> O, schedule: LrSchedule) {
+    const LOST: usize = 5;
+    let mut trainer = DataParallelTrainer::new(MultipodConfig::mesh(4, 4, true), make(), schedule);
+    let mesh = trainer.network().mesh().clone();
+    trainer
+        .network_mut()
+        .fail_chip(mesh.chips().nth(LOST).unwrap(), SimTime::ZERO);
+    // The trainer's survivor ring runs column-major (see `survivors`).
+    let mut ring: Vec<_> = mesh.chips().filter(|c| c.index() != LOST).collect();
+    ring.sort_by_key(|&c| (mesh.coord_of(c).x, mesh.coord_of(c).y));
+    let ring_order: Vec<usize> = ring.iter().map(|c| c.index()).collect();
+
+    let mut optimizer = make();
+    let n = trainer.replicas();
+    let shape = multi_block(n);
+    let mut rng = TensorRng::seed(43);
+    let mut w_t = rng.uniform(shape.clone(), -1.0, 1.0);
+    let mut w_o = w_t.clone();
+    for step in 0..STEPS {
+        let grads: Vec<Tensor> = (0..n)
+            .map(|_| rng.uniform(shape.clone(), -0.3, 0.3))
+            .collect();
+        let stats = trainer.step(&mut w_t, &grads).unwrap();
+        assert_eq!(trainer.dead_replicas(), vec![LOST], "{label}");
+        assert!(stats.degraded, "{label}");
+        optimizer.set_learning_rate(schedule.at(step as u64));
+        survivor_oracle(&mut optimizer, &mut w_o, &grads, &ring_order);
+        assert_eq!(bits(&w_t), bits(&w_o), "{label}, step {step}: weights");
+    }
+}
+
+#[test]
+fn survivor_steps_match_the_host_oracle() {
+    check_survivors(
+        "SGD-momentum",
+        || SgdMomentum::new(0.1, 0.9),
+        LrSchedule::Constant { lr: 0.1 },
+    );
+    check_survivors(
+        "LAMB",
+        || Lamb::new(0.1, 0.01),
+        LrSchedule::lamb_bert(0.2, 2, STEPS as u64),
+    );
+    check_survivors(
         "LARS",
         || Lars::new(0.1, 0.9, 1e-4),
         LrSchedule::lars_resnet(2.0, 2, STEPS as u64),

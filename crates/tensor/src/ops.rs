@@ -139,17 +139,33 @@ impl Tensor {
     /// Sums a list of same-shape tensors; the scalar reference that every
     /// all-reduce implementation is tested against.
     ///
+    /// Every element is the sequential fold `((t₀ + t₁) + t₂) + …` in list
+    /// order, bit for bit. The sum runs in one pass of
+    /// [`kernels::accumulate`], which keeps each output block in L1 while
+    /// all the inputs stream through it. A single input is returned as an
+    /// O(1) clone sharing its storage.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::EmptyInput`] on an empty list and
-    /// [`TensorError::ShapeMismatch`] when shapes disagree.
+    /// [`TensorError::ShapeMismatch`] (`op: "axpy"`, the first tensor's
+    /// shape against the first disagreeing one) when shapes disagree; both
+    /// are checked before any arithmetic.
     pub fn sum_all(tensors: &[Tensor]) -> Result<Tensor, TensorError> {
-        let first = tensors
-            .first()
+        let (first, rest) = tensors
+            .split_first()
             .ok_or(TensorError::EmptyInput { op: "sum_all" })?;
+        if let Some(bad) = rest.iter().find(|t| t.shape() != first.shape()) {
+            return Err(TensorError::ShapeMismatch {
+                op: "axpy",
+                lhs: first.shape().clone(),
+                rhs: bad.shape().clone(),
+            });
+        }
         let mut acc = first.clone();
-        for t in &tensors[1..] {
-            acc.axpy(1.0, t)?;
+        if !rest.is_empty() {
+            let srcs: Vec<&[f32]> = rest.iter().map(Tensor::data).collect();
+            kernels::accumulate(acc.data_mut(), &srcs);
         }
         Ok(acc)
     }
@@ -275,12 +291,26 @@ mod tests {
         ));
         let ts = [
             Tensor::zeros(Shape::of(&[2])),
+            Tensor::zeros(Shape::of(&[2])),
             Tensor::zeros(Shape::of(&[3])),
+            Tensor::zeros(Shape::of(&[4])),
         ];
-        assert!(matches!(
+        assert_eq!(
             Tensor::sum_all(&ts),
-            Err(TensorError::ShapeMismatch { .. })
-        ));
+            Err(TensorError::ShapeMismatch {
+                op: "axpy",
+                lhs: Shape::of(&[2]),
+                rhs: Shape::of(&[3]),
+            })
+        );
+    }
+
+    #[test]
+    fn sum_all_of_one_tensor_shares_its_storage() {
+        let t = Tensor::from_slice(&[1.0, -2.0, 3.0]);
+        let s = Tensor::sum_all(std::slice::from_ref(&t)).unwrap();
+        assert!(s.shares_storage(&t));
+        assert_eq!(s, t);
     }
 
     #[test]

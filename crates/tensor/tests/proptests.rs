@@ -1,6 +1,6 @@
 //! Property tests for the tensor substrate.
 
-use multipod_tensor::{Bf16, Shape, Tensor};
+use multipod_tensor::{kernels, Bf16, Shape, Tensor};
 use proptest::prelude::*;
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -47,23 +47,26 @@ proptest! {
         prop_assert_eq!(back, t);
     }
 
-    /// sum_all equals per-element manual summation.
+    /// sum_all equals the sequential `axpy` fold bit for bit, at lengths
+    /// that cross output blocks and leave ragged lane and block tails.
     #[test]
     fn sum_all_matches_reference(
         n in 1usize..6,
-        len in 1usize..20,
+        len in 1usize..3 * kernels::BLOCK + kernels::LANES + 2,
         seedv in 0u64..1000,
     ) {
         use multipod_tensor::TensorRng;
         let mut rng = TensorRng::seed(seedv);
         let ts: Vec<Tensor> = (0..n)
-            .map(|_| rng.uniform(Shape::of(&[len]), -10.0, 10.0))
+            .map(|k| rng.uniform(Shape::of(&[len]), -10.0, 10.0).scale(10f32.powi(k as i32 * 3 - 6)))
             .collect();
         let s = Tensor::sum_all(&ts).unwrap();
-        for i in 0..len {
-            let manual: f32 = ts.iter().map(|t| t.data()[i]).sum();
-            prop_assert!((s.data()[i] - manual).abs() < 1e-4);
+        let mut fold = ts[0].clone();
+        for t in &ts[1..] {
+            fold.axpy(1.0, t).unwrap();
         }
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&s), bits(&fold));
     }
 
     /// matmul distributes over a split of the contracting dimension:
